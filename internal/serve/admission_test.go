@@ -3,9 +3,10 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
+
+	"instability/internal/lru"
 )
 
 func TestParseQuotas(t *testing.T) {
@@ -125,128 +126,83 @@ func waitFor(t testing.TB, cond func() bool) {
 	}
 }
 
+// cacheServer is a Server with only its result cache wired: enough to drive
+// the cache the way aggregate and generation do.
+func cacheServer(budget int64) *Server {
+	return &Server{opts: Options{CacheBytes: budget}, cache: newResultCache(budget)}
+}
+
+// cachePut caches body under (gen, key) as a completed aggregate would.
+func cachePut(s *Server, gen uint64, key string, body []byte) {
+	k := aggKey{gen: gen, key: key}
+	s.cache.GetOrLoad(k, func() ([]byte, int64, error) { return body, k.cost(body), nil })
+}
+
+var errNotCached = errors.New("not cached")
+
+// cacheHit looks (gen, key) up; a miss caches nothing.
+func cacheHit(s *Server, gen uint64, key string) bool {
+	_, out, _ := s.cache.GetOrLoad(aggKey{gen: gen, key: key}, func() ([]byte, int64, error) {
+		return nil, 0, errNotCached
+	})
+	return out == lru.Hit
+}
+
 // TestResultCache pins the LRU budget and the generation sweep.
 func TestResultCache(t *testing.T) {
 	entry := func(i int) (string, []byte) {
 		return fmt.Sprintf("key-%02d", i), make([]byte, 100)
 	}
-	perEntry := int64(len("key-00")+100) + cacheEntryOverhead
-	c := newResultCache(3 * perEntry)
+	perEntry := aggKey{gen: 1, key: "key-00"}.cost(make([]byte, 100))
+	c := cacheServer(3 * perEntry)
 
 	for i := 0; i < 3; i++ {
 		k, b := entry(i)
-		c.put(k, 1, b)
+		cachePut(c, 1, k, b)
 	}
-	if _, ok := c.get("key-00"); !ok {
+	if !cacheHit(c, 1, "key-00") {
 		t.Fatal("key-00 missing before budget exceeded")
 	}
 	// A fourth entry evicts the LRU — key-01, since key-00 was just touched.
 	k, b := entry(3)
-	c.put(k, 1, b)
-	if _, ok := c.get("key-01"); ok {
+	cachePut(c, 1, k, b)
+	if cacheHit(c, 1, "key-01") {
 		t.Fatal("LRU entry survived over-budget put")
 	}
-	if _, ok := c.get("key-00"); !ok {
+	if !cacheHit(c, 1, "key-00") {
 		t.Fatal("recently used entry evicted")
 	}
 
 	// Oversized bodies are refused, not cached.
-	c.put("huge", 1, make([]byte, 10_000))
-	if _, ok := c.get("huge"); ok {
+	cachePut(c, 1, "huge", make([]byte, 10_000))
+	if cacheHit(c, 1, "huge") {
 		t.Fatal("over-budget body cached")
 	}
 
 	// Generation sweep: entries from other generations vanish.
-	c.put("new-gen", 2, []byte("x"))
+	cachePut(c, 2, "new-gen", []byte("x"))
 	c.dropOldGens(2)
 	for _, k := range []string{"key-00", "key-02", "key-03"} {
-		if _, ok := c.get(k); ok {
+		if cacheHit(c, 1, k) {
 			t.Fatalf("stale-generation entry %q survived sweep", k)
 		}
 	}
-	if _, ok := c.get("new-gen"); !ok {
+	if !cacheHit(c, 2, "new-gen") {
 		t.Fatal("current-generation entry swept")
 	}
-	hits, misses, evictions, size := c.counts()
+	hits, misses, evictions, size := c.CacheCounts()
 	if hits == 0 || misses == 0 || evictions < 4 || size <= 0 {
 		t.Fatalf("counts = hits %d, misses %d, evictions %d, size %d", hits, misses, evictions, size)
 	}
 
-	// The nil cache (disabled) absorbs everything quietly.
-	var nc *resultCache
-	nc.put("k", 1, []byte("v"))
-	if _, ok := nc.get("k"); ok {
-		t.Fatal("nil cache returned a hit")
+	// The disabled cache absorbs everything quietly.
+	nc := cacheServer(0)
+	cachePut(nc, 1, "k", []byte("v"))
+	if cacheHit(nc, 1, "k") {
+		t.Fatal("disabled cache returned a hit")
 	}
 	nc.dropOldGens(1)
-}
-
-// TestFlightGroup proves concurrent identical computations coalesce into one.
-func TestFlightGroup(t *testing.T) {
-	g := newFlightGroup()
-	var calls int
-	started := make(chan struct{})
-	proceed := make(chan struct{})
-
-	const waiters = 8
-	var wg sync.WaitGroup
-	shares := make(chan bool, waiters+1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		body, shared, err := g.do("k", func() ([]byte, error) {
-			calls++
-			close(started)
-			<-proceed
-			return []byte("answer"), nil
-		})
-		if err != nil || string(body) != "answer" {
-			t.Errorf("leader: body %q err %v", body, err)
-		}
-		shares <- shared
-	}()
-	<-started
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			body, shared, err := g.do("k", func() ([]byte, error) {
-				t.Error("duplicate computation ran")
-				return nil, nil
-			})
-			if err != nil || string(body) != "answer" {
-				t.Errorf("follower: body %q err %v", body, err)
-			}
-			shares <- shared
-		}()
-	}
-	// Followers must be registered before the leader finishes; poll the map.
-	waitFor(t, func() bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return len(g.m) == 1
-	})
-	time.Sleep(5 * time.Millisecond) // let followers reach the wait
-	close(proceed)
-	wg.Wait()
-	close(shares)
-
-	if calls != 1 {
-		t.Fatalf("fn ran %d times, want 1", calls)
-	}
-	sharedCount := 0
-	for s := range shares {
-		if s {
-			sharedCount++
-		}
-	}
-	if sharedCount == 0 {
-		t.Fatal("no caller reported a shared result")
-	}
-
-	// After completion the key is free again: a new call recomputes.
-	body, shared, err := g.do("k", func() ([]byte, error) { return []byte("fresh"), nil })
-	if err != nil || shared || string(body) != "fresh" {
-		t.Fatalf("post-flight call: body %q shared %v err %v", body, shared, err)
+	if h, m, e, b := nc.CacheCounts(); h != 0 || m != 0 || e != 0 || b != 0 {
+		t.Fatalf("disabled cache counts = %d %d %d %d, want zeros", h, m, e, b)
 	}
 }

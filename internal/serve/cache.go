@@ -1,162 +1,60 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
+	"strconv"
+
+	"instability/internal/lru"
 )
 
-// resultCache holds serialized aggregate responses under a byte budget with
-// LRU eviction. Keys embed the store generation they were computed under, so
-// a stale entry can never be returned for a current-generation lookup; when
-// the server observes a generation change it additionally sweeps the old
-// entries out so the budget is not squatted by unreachable results.
-type resultCache struct {
-	mu   sync.Mutex
-	max  int64
-	size int64
-	ll   *list.List // front = most recently used
-	m    map[string]*list.Element
+// resultCache holds serialized aggregate responses under a byte budget. Keys
+// carry the store generation they were computed under, so a stale entry can
+// never answer a current-generation lookup; when the server observes a
+// generation change it also drops the old generations' entries (see
+// dropOldGens), so the budget is not squatted by unreachable results. Its
+// load coalescing is the request-batching stage in front of the store: a
+// dashboard fleet refreshing the same panel costs one QueryParallel, not N.
+// A zero budget still coalesces but caches nothing.
+type resultCache = lru.Cache[aggKey, []byte]
 
-	hits, misses, evictions uint64
-}
-
-type cacheEntry struct {
-	key  string
-	gen  uint64
-	body []byte
+// aggKey is the identity of one cached aggregate: the generation, and the
+// kind, top bound, and canonical query key (aggregateQueryKey).
+type aggKey struct {
+	gen uint64
+	key string
 }
 
 // cacheEntryOverhead approximates the bookkeeping bytes per entry (list
 // element, map bucket share, entry struct) charged against the budget.
 const cacheEntryOverhead = 128
 
+// cost is the budget charge of one cached body: the key in its printed form
+// "g<gen>|<key>", the body, and the per-entry overhead.
+func (k aggKey) cost(body []byte) int64 {
+	return int64(len("g|")+len(strconv.FormatUint(k.gen, 10))+len(k.key)+len(body)) + cacheEntryOverhead
+}
+
 func newResultCache(maxBytes int64) *resultCache {
-	if maxBytes <= 0 {
-		return nil // nil cache: every lookup misses, puts are dropped
-	}
-	return &resultCache{max: maxBytes, ll: list.New(), m: make(map[string]*list.Element)}
+	return lru.New[aggKey, []byte](maxBytes, func(evicted int, bytes int64, _ int) {
+		obsCacheEvictions.Add(int64(evicted))
+		obsCacheBytes.SetInt(bytes)
+	})
 }
 
-func (c *resultCache) get(key string) ([]byte, bool) {
-	if c == nil {
-		obsCacheMisses.Inc()
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		c.misses++
-		obsCacheMisses.Inc()
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	obsCacheHits.Inc()
-	return el.Value.(*cacheEntry).body, true
+// dropOldGens drops every cached aggregate not computed under gen, and keeps
+// loads of older generations still in flight from inserting. Dropped entries
+// count as evictions.
+func (s *Server) dropOldGens(gen uint64) {
+	obsCacheEvictions.Add(int64(s.cache.DropIf(func(k aggKey) bool { return k.gen != gen })))
 }
 
-func (c *resultCache) put(key string, gen uint64, body []byte) {
-	if c == nil {
-		return
-	}
-	cost := int64(len(key)+len(body)) + cacheEntryOverhead
-	if cost > c.max {
-		return // larger than the whole budget: not cacheable
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		old := el.Value.(*cacheEntry)
-		c.size += int64(len(body)) - int64(len(old.body))
-		old.body, old.gen = body, gen
-		c.ll.MoveToFront(el)
-	} else {
-		c.m[key] = c.ll.PushFront(&cacheEntry{key: key, gen: gen, body: body})
-		c.size += cost
-	}
-	for c.size > c.max {
-		c.evictLocked(c.ll.Back())
-	}
-	obsCacheBytes.SetInt(c.size)
-}
-
-// dropOldGens evicts every entry not computed under gen. Called when the
-// server notices the store sealed or compacted.
-func (c *resultCache) dropOldGens(gen uint64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.ll.Back(); el != nil; {
-		prev := el.Prev()
-		if el.Value.(*cacheEntry).gen != gen {
-			c.evictLocked(el)
-		}
-		el = prev
-	}
-	obsCacheBytes.SetInt(c.size)
-}
-
-func (c *resultCache) evictLocked(el *list.Element) {
-	if el == nil {
-		return
-	}
-	ent := el.Value.(*cacheEntry)
-	c.ll.Remove(el)
-	delete(c.m, ent.key)
-	c.size -= int64(len(ent.key)+len(ent.body)) + cacheEntryOverhead
-	c.evictions++
-	obsCacheEvictions.Inc()
-}
-
-// counts snapshots the hit/miss/eviction counters (per-cache, unlike the
-// process metrics, so tests and /v1/statz see this server alone).
-func (c *resultCache) counts() (hits, misses, evictions uint64, bytes int64) {
-	if c == nil {
+// CacheCounts snapshots this server's cache counters (per server, unlike the
+// process metrics, so tests and /v1/statz see this server alone). A lookup
+// that waited on an identical in-flight aggregate is a miss: it was not
+// answered from memory. A disabled cache reports nothing.
+func (s *Server) CacheCounts() (hits, misses, evictions uint64, bytes int64) {
+	if s.opts.CacheBytes <= 0 {
 		return 0, 0, 0, 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, c.size
-}
-
-// flightGroup coalesces concurrent identical computations: the first caller
-// of a key runs fn, every concurrent duplicate blocks and shares the result.
-// This is the request-batching stage in front of the store — a dashboard
-// fleet refreshing the same panel costs one QueryParallel, not N.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flightCall
-}
-
-type flightCall struct {
-	done chan struct{}
-	body []byte
-	err  error
-}
-
-func newFlightGroup() *flightGroup { return &flightGroup{m: make(map[string]*flightCall)} }
-
-// do runs fn under key, coalescing with any identical in-flight call.
-// shared reports whether this caller piggybacked on another's computation.
-func (g *flightGroup) do(key string, fn func() ([]byte, error)) (body []byte, shared bool, err error) {
-	g.mu.Lock()
-	if c, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		obsCoalesced.Inc()
-		<-c.done
-		return c.body, true, c.err
-	}
-	c := &flightCall{done: make(chan struct{})}
-	g.m[key] = c
-	g.mu.Unlock()
-
-	c.body, c.err = fn()
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(c.done)
-	return c.body, false, c.err
+	st := s.cache.Stats()
+	return st.Hits, st.Loads + st.Coalesced, st.Evictions + st.Dropped, st.Bytes
 }

@@ -335,7 +335,7 @@ type Statz struct {
 }
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	hits, misses, evictions, bytes := s.cache.counts()
+	hits, misses, evictions, bytes := s.CacheCounts()
 	st := s.st.Stats()
 	doc := Statz{
 		Store:          st,

@@ -289,8 +289,8 @@ func topOrigins(counts map[bgp.ASN]int, top int) []OriginCount {
 	return out
 }
 
-// aggregateCacheKey is the identity of one cached aggregate: generation,
-// kind, top bound, and the canonical query key.
-func aggregateCacheKey(gen uint64, kind string, top int, q store.Query) string {
-	return "g" + strconv.FormatUint(gen, 10) + "|" + kind + "|" + strconv.Itoa(top) + "|" + q.Key()
+// aggregateQueryKey is the generation-independent half of an aggregate's
+// cache identity: kind, top bound, and the canonical query key.
+func aggregateQueryKey(kind string, top int, q store.Query) string {
+	return kind + "|" + strconv.Itoa(top) + "|" + q.Key()
 }

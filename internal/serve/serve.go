@@ -8,9 +8,9 @@
 // each connection. Every request passes through the same read path:
 //
 //	admission (worker pool + queue shed + per-tenant token buckets)
-//	  → batcher (singleflight coalescing of identical in-flight aggregates)
-//	    → result cache (generation-keyed, byte-budgeted LRU)
-//	      → store (QueryParallel, predicate pushdown, ordered merge)
+//	  → result cache (generation-keyed, byte-budgeted LRU that coalesces
+//	    identical in-flight aggregates)
+//	    → store (QueryParallel, predicate pushdown, ordered merge)
 //
 // Aggregate answers (class totals, daily series, top origins, the per-peer
 // density matrix) are cached under the store's segment-set generation, so a
@@ -36,6 +36,7 @@ import (
 
 	"instability/internal/collector"
 	"instability/internal/detect"
+	"instability/internal/lru"
 	"instability/internal/obs"
 	"instability/internal/store"
 )
@@ -118,7 +119,6 @@ type Server struct {
 	st       *store.Store
 	adm      *admission
 	cache    *resultCache
-	flight   *flightGroup
 	profiles *profileLog
 	lastGen  atomic.Uint64
 
@@ -144,7 +144,6 @@ func New(opts Options) (*Server, error) {
 		st:       opts.Store,
 		adm:      newAdmission(opts.MaxSessions, opts.MaxQueue, opts.QueueWait, opts.Quotas, opts.DefaultQuota, opts.now),
 		cache:    newResultCache(opts.CacheBytes),
-		flight:   newFlightGroup(),
 		profiles: newProfileLog(opts.SlowQuery, opts.SlowQueryLog),
 		conns:    make(map[net.Conn]struct{}),
 		closed:   make(chan struct{}),
@@ -196,11 +195,6 @@ func (s *Server) Addr() net.Addr {
 
 // ActiveSessions reports currently admitted sessions (tests poll it).
 func (s *Server) ActiveSessions() int64 { return s.adm.active.Load() }
-
-// CacheCounts snapshots this server's cache counters.
-func (s *Server) CacheCounts() (hits, misses, evictions uint64, bytes int64) {
-	return s.cache.counts()
-}
 
 // frameConn applies an idle deadline to reads: while armed, every Read
 // pushes the conn's read deadline out by timeout, so a slow-but-live client
@@ -281,7 +275,7 @@ func (s *Server) track(conn net.Conn, add bool) {
 func (s *Server) generation() uint64 {
 	gen := s.st.Generation()
 	if s.lastGen.Swap(gen) != gen {
-		s.cache.dropOldGens(gen)
+		s.dropOldGens(gen)
 	}
 	return gen
 }
@@ -478,29 +472,25 @@ func appendUvarintFront(records []byte, count uint64) []byte {
 	return append(out, records...)
 }
 
-// aggregate answers an aggregate query through singleflight and the cache,
+// aggregate answers an aggregate query through the coalescing result cache,
 // returning the serialized JSON body shared by both protocols. The cache
-// lookup, singleflight outcome, and store scan all land on the request's
-// trace and profile.
+// lookup, coalescing outcome, and store scan all land on the request's trace
+// and profile.
 func (s *Server) aggregate(ctx context.Context, prof *QueryProfile, kind string, top int, q store.Query) ([]byte, error) {
 	gen := s.generation()
-	key := aggregateCacheKey(gen, kind, top, q)
+	key := aggKey{gen: gen, key: aggregateQueryKey(kind, top, q)}
 	tc := time.Now()
 	_, csp := obs.StartChild(ctx, "cache")
-	if body, ok := s.cache.get(key); ok {
-		csp.Annotate("result", "hit")
+	lookupDone := func(result string) {
+		csp.Annotate("result", result)
 		csp.Finish()
 		prof.addStage("cache", time.Since(tc))
-		prof.CacheHit = true
-		return body, nil
 	}
-	csp.Annotate("result", "miss")
-	csp.Finish()
-	prof.addStage("cache", time.Since(tc))
-
-	tagg := time.Now()
 	var ex *store.Explain
-	body, shared, err := s.flight.do(key, func() ([]byte, error) {
+	body, outcome, err := s.cache.GetOrLoad(key, func() ([]byte, int64, error) {
+		lookupDone("miss")
+		tagg := time.Now()
+		defer func() { prof.addStage("aggregate", time.Since(tagg)) }()
 		span, sctx := obs.StartSpanCtx(ctx, "serve_aggregate")
 		defer span.End()
 		tsc := time.Now()
@@ -510,7 +500,7 @@ func (s *Server) aggregate(ctx context.Context, prof *QueryProfile, kind string,
 			ssp.SetError(qerr)
 			ssp.Finish()
 			prof.addStage("scan", time.Since(tsc))
-			return nil, qerr
+			return nil, 0, qerr
 		}
 		agg, aerr := computeAggregate(readerOnly{r}, kind, top)
 		r.Close()
@@ -519,7 +509,7 @@ func (s *Server) aggregate(ctx context.Context, prof *QueryProfile, kind string,
 		ssp.Finish()
 		prof.addStage("scan", time.Since(tsc))
 		if aerr != nil {
-			return nil, aerr
+			return nil, 0, aerr
 		}
 		agg.Generation = gen
 		span.Add(int64(agg.Records))
@@ -529,18 +519,30 @@ func (s *Server) aggregate(ctx context.Context, prof *QueryProfile, kind string,
 		esp.Finish()
 		prof.addStage("encode", time.Since(te))
 		if merr != nil {
-			return nil, merr
+			return nil, 0, merr
 		}
-		s.cache.put(key, gen, body)
-		return body, nil
+		return body, key.cost(body), nil
 	})
-	prof.addStage("aggregate", time.Since(tagg))
-	prof.Coalesced = shared
+	switch outcome {
+	case lru.Hit:
+		obsCacheHits.Inc()
+		lookupDone("hit")
+		prof.CacheHit = true
+	case lru.Coalesced:
+		// The lookup and the wait on the identical in-flight aggregate are
+		// one step here; the profile books it as the aggregate stage.
+		obsCacheMisses.Inc()
+		obsCoalesced.Inc()
+		csp.Annotate("result", "miss")
+		csp.Finish()
+		prof.addStage("aggregate", time.Since(tc))
+		prof.Coalesced = true
+		obs.SpanFromContext(ctx).Annotate("coalesced", "true")
+	default:
+		obsCacheMisses.Inc()
+	}
 	if ex != nil {
 		prof.Explain = ex
-	}
-	if shared {
-		obs.SpanFromContext(ctx).Annotate("coalesced", "true")
 	}
 	return body, err
 }

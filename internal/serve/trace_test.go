@@ -348,35 +348,35 @@ func TestSlowQueryLog(t *testing.T) {
 // size returns to zero when everything is swept.
 func TestCacheEvictionAccounting(t *testing.T) {
 	body := bytes.Repeat([]byte("x"), 256)
-	c := newResultCache(3 * (256 + 8 + cacheEntryOverhead))
-	c.put("gen1|a", 1, body)
-	c.put("gen1|b", 1, body)
-	c.put("gen1|c", 1, body)
-	if _, _, ev, _ := c.counts(); ev != 0 {
+	c := cacheServer(3 * (256 + 8 + cacheEntryOverhead))
+	cachePut(c, 1, "a", body)
+	cachePut(c, 1, "b", body)
+	cachePut(c, 1, "c", body)
+	if _, _, ev, _ := c.CacheCounts(); ev != 0 {
 		t.Fatalf("evictions before overflow: %d", ev)
 	}
-	c.put("gen1|d", 1, body) // budget overflow: LRU (a) goes
-	if _, ok := c.get("gen1|a"); ok {
+	cachePut(c, 1, "d", body) // budget overflow: LRU (a) goes
+	if cacheHit(c, 1, "a") {
 		t.Fatal("LRU entry survived overflow")
 	}
-	_, _, ev, size := c.counts()
+	_, _, ev, size := c.CacheCounts()
 	if ev != 1 {
 		t.Fatalf("evictions after overflow: %d, want 1", ev)
 	}
 	if size <= 0 {
 		t.Fatalf("cache size %d after puts", size)
 	}
-	c.put("gen2|e", 2, body)
+	cachePut(c, 2, "e", body)
 	c.dropOldGens(2) // generation sweep: every gen-1 entry goes
-	if _, ok := c.get("gen2|e"); !ok {
+	if !cacheHit(c, 2, "e") {
 		t.Fatal("current-generation entry swept")
 	}
-	_, _, ev2, _ := c.counts()
+	_, _, ev2, _ := c.CacheCounts()
 	if ev2 <= ev+1 {
 		t.Fatalf("generation sweep evicted %d entries, want several", ev2-ev)
 	}
 	c.dropOldGens(3)
-	if _, _, _, size := c.counts(); size != 0 {
+	if _, _, _, size := c.CacheCounts(); size != 0 {
 		t.Fatalf("cache size %d after full sweep, want 0", size)
 	}
 }

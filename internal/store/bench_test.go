@@ -121,7 +121,7 @@ func BenchmarkStoreQueryCache(b *testing.B) {
 	b.Run("Cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.cache.purge()
+			s.cache.Purge()
 			r, err := s.Query(q)
 			if err != nil {
 				b.Fatal(err)
@@ -212,8 +212,8 @@ func BenchmarkColumnarFilter(b *testing.B) {
 }
 
 // BenchmarkStoreSeal measures pure seal throughput — memtable to sealed,
-// indexed segments — at one worker (the pre-pipeline serial write path) and
-// at eight. The output bytes are identical at any worker count (pinned by
+// indexed segments, on the background seal path that Seal waits out — at one
+// block-encoding worker and at eight. The output bytes are identical at any worker count (pinned by
 // TestSealedBytesIdenticalAcrossWorkers), so records/sec is the whole story:
 // block encoding and deflate dominate a seal, and they parallelize across
 // blocks.
@@ -226,7 +226,6 @@ func BenchmarkStoreSeal(b *testing.B) {
 				b.StopTimer()
 				opts := testOptions()
 				opts.SealWorkers = workers
-				opts.syncSeal = true // time the seal itself, not goroutine handoff
 				s, err := Open(b.TempDir(), opts)
 				if err != nil {
 					b.Fatal(err)
@@ -294,23 +293,18 @@ func BenchmarkIngestToSealed(b *testing.B) {
 // segment set and memtable under s.mu and the scan itself runs lock-free —
 // so the longest single lock occupancy is exactly the worst stall a seal
 // imposes on a reader: a query arriving at the start of that window waits it
-// out. Both modes seal an identical 65536-record memtable. Sync seals inline
-// under the store lock (the pre-pipeline behavior, kept behind the
-// unexported syncSeal option exactly for this A/B), so the occupancy is the
-// whole sort+encode+compress+rename+publish. Background splits the same seal
-// into its lock-held spans — the detach (WAL flush+rotate, snapshot swap)
-// and one publish per window — with the sort/encode/compress running off the
-// lock; the occupancies are timed directly around those spans, replicating
-// runSeal step by step, so the number is deterministic and not polluted by
-// goroutine wakeup latency or kernel timeslicing on small hosts.
+// out. A seal holds the lock only for its detach (WAL flush+rotate, snapshot
+// swap) and one publish per window, with the sort/encode/compress running off
+// the lock; the occupancies are timed directly around those spans,
+// replicating runSeal step by step, so the number is deterministic and not
+// polluted by goroutine wakeup latency or kernel timeslicing on small hosts.
 // max-stall-ms bounds how long a dashboard query can hang during ingest.
 func BenchmarkSealStall(b *testing.B) {
 	recs := hourlyWorkload(2, 32768)
-	fill := func(b *testing.B, sync bool) *Store {
+	fill := func(b *testing.B) *Store {
 		b.Helper()
 		opts := testOptions()
 		opts.FlushEvery = 256
-		opts.syncSeal = sync
 		s, err := Open(b.TempDir(), opts)
 		if err != nil {
 			b.Fatal(err)
@@ -321,33 +315,11 @@ func BenchmarkSealStall(b *testing.B) {
 		return s
 	}
 
-	b.Run("Sync", func(b *testing.B) {
-		var worst time.Duration
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			s := fill(b, true)
-			b.StartTimer()
-			start := time.Now()
-			if err := s.Writer().Seal(); err != nil {
-				b.Fatal(err)
-			}
-			if d := time.Since(start); d > worst {
-				worst = d
-			}
-			b.StopTimer()
-			if err := s.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(worst.Nanoseconds())/1e6, "max-stall-ms")
-		b.ReportMetric(0, "ns/op")
-	})
-
 	b.Run("Background", func(b *testing.B) {
 		var worst time.Duration
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			s := fill(b, false)
+			s := fill(b)
 			b.StartTimer()
 			// The lock-held span an append pays when it crosses the
 			// auto-seal threshold: flush, WAL rotation, memtable detach.
@@ -378,12 +350,12 @@ func BenchmarkSealStall(b *testing.B) {
 					b.Fatal(err)
 				}
 				start := time.Now()
-				s.publishSealed(bat, wi, seg, false)
+				s.publishSealed(bat, wi, seg)
 				if d := time.Since(start); d > worst {
 					worst = d
 				}
 			}
-			s.finishSeal(bat, nil, false)
+			s.finishSeal(bat, nil)
 			b.StopTimer()
 			if err := s.Close(); err != nil {
 				b.Fatal(err)
@@ -396,14 +368,14 @@ func BenchmarkSealStall(b *testing.B) {
 
 // TestQueryUntracedTracingAllocsZero pins the zero-allocation contract of
 // the tracing seam the read path threads through: with no active span, the
-// exact obs calls QueryCtx/segStream/Close make must not allocate.
+// exact obs calls QueryCtx/segmentStream/Close make must not allocate.
 func TestQueryUntracedTracingAllocsZero(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(200, func() {
 		_, sp := obs.StartChild(ctx, "store_scan") // QueryCtx root hook
 		seg := segmentSpan(sp, nil, 0)             // per-segment child hook
 		seg.Annotate("quarantined_block", "x")     // quarantine annotation
-		seg.Finish()                               // segStream close
+		seg.Finish()                               // segmentStream close
 		Explain{}.annotate(sp)                     // Reader.Close EXPLAIN attach
 		sp.SetError(nil)
 		sp.Finish()

@@ -9,6 +9,7 @@ import (
 
 	"instability/internal/bgp"
 	"instability/internal/collector"
+	"instability/internal/lru"
 	"instability/internal/netaddr"
 )
 
@@ -303,9 +304,9 @@ func putBlockScanner(bs *blockScanner) {
 
 // fetch returns the columnar form of block bi of g — through the store's
 // shared cache when it has one (hit reports whether the block was served
-// without touching disk), or decoded into the scanner's private scratch when
-// caching is off. mm is the segment mapping the caller holds a reference on
-// (nil to read through f).
+// without this caller touching disk), or decoded into the scanner's private
+// scratch when caching is off. mm is the segment mapping the caller holds a
+// reference on (nil to read through f).
 func (bs *blockScanner) fetch(g *segment, f io.ReaderAt, mm *segMap, cache *blockCache, bi int) (*colBlock, bool, error) {
 	if cache == nil {
 		raw, err := g.inflateBlock(bs.br, f, mm, bi)
@@ -317,15 +318,24 @@ func (bs *blockScanner) fetch(g *segment, f io.ReaderAt, mm *segMap, cache *bloc
 		}
 		return bs.scratch, false, nil
 	}
-	return cache.getOrLoad(blockKey{seg: g.fp, block: int32(bi)}, func() (*colBlock, error) {
+	cb, out, err := cache.GetOrLoad(blockKey{seg: g.fp, block: int32(bi)}, func() (*colBlock, int64, error) {
 		raw, err := g.inflateBlock(bs.br, f, mm, bi)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		cb := new(colBlock)
 		if err := decodeColBlock(g, bi, raw, cb); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return cb, nil
+		return cb, cb.bytes, nil
 	})
+	if out == lru.Loaded {
+		obsBlockCacheMisses.Inc()
+	} else {
+		obsBlockCacheHits.Inc()
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	return cb, out != lru.Loaded, nil
 }

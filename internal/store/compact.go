@@ -4,8 +4,6 @@ import (
 	"container/heap"
 	"slices"
 	"time"
-
-	"instability/internal/collector"
 )
 
 // CompactStats reports what a compaction pass did.
@@ -82,55 +80,34 @@ func (s *Store) Compact() (CompactStats, error) {
 // mergeWindowLocked streams the records of one window's segments in time
 // order into a single replacement segment.
 func (s *Store) mergeWindowLocked(window int64, gs []*segment) (*segment, error) {
-	var streams recHeap
-	closeAll := func() {
-		for _, st := range streams {
-			st.close()
-		}
-	}
+	// The merge reads through a Reader over every block of the inputs, with
+	// two differences from a query. No quarantine: a compaction that hit a
+	// corrupt block and skipped it would rewrite the window without those
+	// records, converting detectable damage into silent loss; the merge
+	// fails instead and leaves the inputs in place. No block cache: a full
+	// rewrite would evict the query working set for blocks that are about to
+	// be retired anyway. The Reader is released, not Closed, so the rewrite
+	// does not count as query work in the process metrics.
+	r := &Reader{workers: 1}
+	defer r.release()
 	for _, g := range gs {
 		blocks := make([]int, len(g.index.blocks))
 		for i := range blocks {
 			blocks[i] = i
 		}
-		// Note: no quarantine here. A compaction that hit a corrupt block
-		// and skipped it would rewrite the window without those records,
-		// converting detectable damage into silent loss; the merge fails
-		// instead and leaves the inputs in place. The merge also bypasses
-		// the block cache (cache left nil): a full rewrite would evict the
-		// query working set for blocks that are about to be retired anyway.
-		f, err := s.fs.Open(g.path)
+		sc, err := s.openSegmentStream(g, blocks, &r.q, nil, nil, false)
 		if err != nil {
-			closeAll()
 			return nil, err
 		}
-		g.mm.acquire()
-		sc := &segStream{seg: g, f: f, mm: g.mm, q: &Query{}, bs: getBlockScanner(),
-			blocks: blocks, order: g.seq}
+		r.streams = append(r.streams, sc)
 		if err := sc.advance(); err != nil {
-			sc.close()
-			closeAll()
 			return nil, err
 		}
-		streams = append(streams, sc)
 	}
-	heap.Init(&streams)
-
-	var out []collector.Record
-	for len(streams) > 0 {
-		st := streams[0]
-		rec, ok := st.head()
-		if !ok {
-			heap.Pop(&streams)
-			st.close()
-			continue
-		}
-		if err := st.advance(); err != nil {
-			closeAll()
-			return nil, err
-		}
-		heap.Fix(&streams, 0)
-		out = append(out, rec)
+	heap.Init(&r.streams)
+	out, err := r.ReadAll()
+	if err != nil {
+		return nil, err
 	}
 
 	var firstSeq, lastSeq uint64

@@ -173,6 +173,123 @@ func TestWALTornTailThenAppend(t *testing.T) {
 	}
 }
 
+// crashAndReopen abandons s without sealing, as a crash would, and reopens
+// its directory on the undamaged filesystem.
+func crashAndReopen(t *testing.T, s *Store) *Store {
+	t.Helper()
+	s.wal.close()
+	s.closed = true
+	s2, err := Open(s.dir, faultOptions())
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	return s2
+}
+
+// TestWALRetryAfterTornWrite is the regression test for retried group
+// commits: a torn WAL write leaves a partial frame, and the retried Flush
+// must not land behind it — replay stops at the tear, so every record
+// acknowledged after it would be lost.
+func TestWALRetryAfterTornWrite(t *testing.T) {
+	opts := faultOptions()
+	opts.FlushEvery = 1000
+	opts.Sync = true
+	opts.FS = faults.NewInjector(faults.Disk{}, faults.Plan{Seed: 3, TornWriteN: 1})
+	s, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := s.Writer()
+	for i := 0; i < 20; i++ {
+		if err := w.Append(faultRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 9 {
+			if err := w.Flush(); !errors.Is(err, faults.ErrInjected) {
+				t.Fatalf("torn flush error = %v, want injected", err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatalf("retried flush: %v", err)
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := crashAndReopen(t, s)
+	defer s2.Close()
+	recs, _ := queryAll(t, s2, Query{})
+	verifyRecoveredPrefix(t, recs, 20)
+}
+
+// TestWALRetryAfterFailedSync: a group commit whose fsync failed was never
+// acknowledged, so its retry must replace the written frames, not follow
+// them — a second copy of the same sequence numbers makes the WAL unreadable.
+func TestWALRetryAfterFailedSync(t *testing.T) {
+	opts := faultOptions()
+	opts.FlushEvery = 1000
+	opts.Sync = true
+	opts.FS = faults.NewInjector(faults.Disk{}, faults.Plan{Seed: 1, FailSyncN: 1})
+	s, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := s.Writer()
+	for i := 0; i < 10; i++ {
+		if err := w.Append(faultRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("failed-sync flush error = %v, want injected", err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatalf("retried flush: %v", err)
+	}
+	s2 := crashAndReopen(t, s)
+	defer s2.Close()
+	recs, _ := queryAll(t, s2, Query{})
+	verifyRecoveredPrefix(t, recs, 10)
+}
+
+// failingTruncFile tears every write and fails every truncate: the rollback
+// of a failed append cannot succeed.
+type failingTruncFile struct{ faults.File }
+
+func (f failingTruncFile) Write(p []byte) (int, error) {
+	n, _ := f.File.Write(p[:len(p)/2])
+	return n, faults.ErrInjected
+}
+
+func (f failingTruncFile) Truncate(int64) error { return errors.New("truncate refused") }
+
+// TestWALRetryRollbackFailureSticky: when a failed append cannot be rolled
+// back, the log must refuse every later append rather than write behind the
+// partial frame.
+func TestWALRetryRollbackFailureSticky(t *testing.T) {
+	l, _, err := openWAL(faults.Disk{}, filepath.Join(t.TempDir(), walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.close()
+	l.f = failingTruncFile{l.f}
+	frame, err := appendWALFrame(nil, 0, 1, faultRecord(0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.append(frame, false); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("torn append error = %v, want injected", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := l.append(frame, false); err == nil || errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("append %d after failed rollback: %v, want the rollback error", i, err)
+		}
+	}
+	if l.size() != 0 {
+		t.Fatalf("log offset moved to %d", l.size())
+	}
+}
+
 // buildFaultStore seals n indexed records into a single segment and returns
 // the reopened store (so nothing is cached from the write path).
 func buildFaultStore(t *testing.T, dir string, n int) *Store {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"testing"
 
 	"instability/internal/bgp"
@@ -129,4 +130,42 @@ func sameRecord(a, b collector.Record) bool {
 	return a.Type == b.Type && a.PeerAS == b.PeerAS && a.PeerAddr == b.PeerAddr &&
 		a.Prefix == b.Prefix && a.Attrs.PolicyEqual(b.Attrs) &&
 		a.Attrs.NextHop == b.Attrs.NextHop
+}
+
+// FuzzFrameScan exercises log replay — the WAL's and the sidecar's — on
+// arbitrary bytes. It must never panic; the offset it stops at must lie
+// within the input; and re-framing the payloads it yielded must reproduce
+// exactly the bytes before that offset, which also makes the offset a frame
+// boundary.
+func FuzzFrameScan(f *testing.F) {
+	var wal []byte
+	for i, rec := range []collector.Record{faultRecord(0), faultRecord(1), faultRecord(2)} {
+		var err error
+		if wal, err = appendWALFrame(wal, 0, uint64(i+1), rec, nil); err != nil {
+			f.Fatal(err)
+		}
+	}
+	side := frameEnd(append(frameStart(nil), `{"n":1}`...), 0)
+	f.Add([]byte{})
+	f.Add(wal)
+	f.Add(wal[:len(wal)-3])                        // torn tail
+	f.Add(append(append([]byte{}, side...), 0, 0)) // garbage tail
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})          // zero-length frame
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var reframed []byte
+		off, n, err := scanFrames(data, func(p []byte) error {
+			at := len(reframed)
+			reframed = frameEnd(append(frameStart(reframed), p...), at)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("scan error with an accepting callback: %v", err)
+		}
+		if off < 0 || off > int64(len(data)) {
+			t.Fatalf("offset %d outside input of %d bytes", off, len(data))
+		}
+		if !bytes.Equal(reframed, data[:off]) {
+			t.Fatalf("%d re-framed payloads (%d bytes) differ from the %d replayed bytes", n, len(reframed), off)
+		}
+	})
 }

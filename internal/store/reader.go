@@ -9,7 +9,6 @@ import (
 	"slices"
 
 	"instability/internal/collector"
-	"instability/internal/faults"
 	"instability/internal/obs"
 )
 
@@ -46,7 +45,7 @@ type Reader struct {
 	q       Query
 	stats   ScanStats
 	streams recHeap
-	pool    *scanPool // non-nil only for QueryParallel readers
+	pool    *scanPool // nil when every stream fetches inline
 	err     error     // sticky terminal scan error
 	closed  bool
 	gen     uint64         // store generation at query time
@@ -66,17 +65,46 @@ func (s *Store) Query(q Query) (*Reader, error) {
 // grandchild per scanned segment) annotated with the EXPLAIN profile at
 // Close. An untraced ctx costs nothing.
 func (s *Store) QueryCtx(ctx context.Context, q Query) (*Reader, error) {
+	return s.QueryParallelCtx(ctx, q, 1)
+}
+
+// QueryParallel is Query with the segment scan fanned across workers. The
+// result order and ScanStats accounting are identical to Query; workers <= 1
+// (or a scan with at most one candidate block) fetches inline on the calling
+// goroutine. The returned Reader must be Closed to release the worker pool.
+//
+// Failure behavior matches Query: corrupt blocks are quarantined (skipped
+// and counted), I/O errors surface as a sticky partial-scan error from Next,
+// and an error during setup closes every segment file already opened and
+// drains every in-flight worker before returning.
+func (s *Store) QueryParallel(q Query, workers int) (*Reader, error) {
+	return s.QueryParallelCtx(context.Background(), q, workers)
+}
+
+// QueryParallelCtx is QueryParallel carrying a request context; see QueryCtx
+// for the tracing contract. It is the one query setup path: candidate
+// selection, scan accounting, stream open, and the memtable snapshot.
+func (s *Store) QueryParallelCtx(ctx context.Context, q Query, workers int) (*Reader, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	obsQueries.Inc()
+	if workers > 1 {
+		obsParallelScans.Inc()
+	} else {
+		workers = 1
+	}
 	_, span := obs.StartChild(ctx, "store_scan")
-	r := &Reader{q: q, gen: s.Generation(), workers: 1, span: span}
+	r := &Reader{q: q, gen: s.Generation(), workers: workers, span: span}
 	r.stats.SegmentsTotal = len(s.segs)
+
+	type candidate struct {
+		seg    *segment
+		blocks []int
+	}
+	cands := make([]candidate, 0, len(s.segs))
+	totalBlocks := 0
 	for _, g := range s.segs {
 		r.stats.BlocksTotal += len(g.index.blocks)
-	}
-
-	for _, g := range s.segs {
 		blocks, scan := g.candidateBlocks(q)
 		if !scan {
 			continue
@@ -86,16 +114,27 @@ func (s *Store) QueryCtx(ctx context.Context, q Query) (*Reader, error) {
 			continue
 		}
 		r.stats.BlocksSelected += len(blocks)
-		f, err := s.fs.Open(g.path)
+		cands = append(cands, candidate{seg: g, blocks: blocks})
+		totalBlocks += len(blocks)
+	}
+
+	// A pool pays off only with blocks to overlap; for a single block it
+	// would only add handoff overhead, so the stream fetches inline.
+	if workers > 1 && totalBlocks > 1 {
+		r.workers = min(workers, totalBlocks)
+		obsScanWorkers.SetInt(int64(r.workers))
+		r.pool = newScanPool(r.workers, 2*r.workers)
+	}
+	for _, c := range cands {
+		sc, err := s.openSegmentStream(c.seg, c.blocks, &r.q, s.cache, r.pool, true)
 		if err != nil {
+			// r.Close drains the streams (and their in-flight blocks)
+			// already set up, then shuts the pool down.
 			r.err = err
 			r.Close()
 			return nil, err
 		}
-		g.mm.acquire()
-		sc := &segStream{seg: g, f: f, mm: g.mm, q: &r.q, cache: s.cache,
-			bs: getBlockScanner(), blocks: blocks, order: g.seq, quarantine: true,
-			span: segmentSpan(span, g, len(blocks))}
+		sc.span = segmentSpan(span, c.seg, len(c.blocks))
 		if err := sc.advance(); err != nil {
 			r.retire(sc)
 			r.err = err
@@ -180,11 +219,22 @@ func (r *Reader) Close() error {
 	if r.closed {
 		return nil
 	}
+	r.release()
+	publishScanStats(r.stats)
+	if r.span != nil {
+		r.Explain().annotate(r.span)
+		r.span.SetError(r.err)
+		r.span.Finish()
+	}
+	return nil
+}
+
+// release closes every stream still open and shuts the worker pool down.
+func (r *Reader) release() {
 	r.closed = true
 	for _, st := range r.streams {
 		r.retire(st)
 	}
-	publishScanStats(r.stats)
 	r.streams = nil
 	if r.pool != nil {
 		// Workers deliver into single-slot buffered channels, so they never
@@ -192,12 +242,6 @@ func (r *Reader) Close() error {
 		r.pool.shutdown()
 		r.pool = nil
 	}
-	if r.span != nil {
-		r.Explain().annotate(r.span)
-		r.span.SetError(r.err)
-		r.span.Finish()
-	}
-	return nil
 }
 
 // retire folds a stream's undrained accounting into the reader's stats and
@@ -369,93 +413,6 @@ type stream interface {
 func quarantineBlock(path string, bi int, err error) {
 	obsQuarantinedBlocks.Inc()
 	log.Printf("store: quarantined corrupt block %d of %s: %v", bi, path, err)
-}
-
-// segStream iterates the candidate blocks of one segment: each block is
-// fetched in columnar form (through the shared cache when the store has one),
-// filtered column-wise, and only the surviving rows are materialized into the
-// stream's record buffer.
-type segStream struct {
-	seg    *segment
-	f      faults.File
-	mm     *segMap     // acquired mapping reference, nil on the ReadAt path
-	q      *Query      // predicates the columnar kernels filter by
-	cache  *blockCache // shared block cache, nil when disabled
-	bs     *blockScanner
-	blocks []int
-	bi     int
-	recs   []collector.Record
-	ri     int
-	cur    collector.Record
-	ok     bool
-	order  uint64
-	// quarantine skips corrupt blocks instead of failing the scan. Queries
-	// set it; compaction merges leave it off, because silently dropping a
-	// block while rewriting segments would turn detectable damage into
-	// permanent record loss.
-	quarantine bool
-
-	acc  scanDelta      // accounting since last drain into Reader.stats
-	span *obs.TraceSpan // per-segment trace span; nil when untraced
-}
-
-func (sc *segStream) head() (collector.Record, bool) { return sc.cur, sc.ok }
-
-func (sc *segStream) advance() error {
-	for {
-		if sc.ri < len(sc.recs) {
-			sc.cur = sc.recs[sc.ri]
-			sc.ri++
-			sc.ok = true
-			return nil
-		}
-		if sc.bi >= len(sc.blocks) {
-			sc.ok = false
-			return nil
-		}
-		// sc.recs is fully consumed here (ri == len), so its backing array
-		// is reused for the next block — one record buffer per stream, total.
-		bi := sc.blocks[sc.bi]
-		cb, hit, err := sc.bs.fetch(sc.seg, sc.f, sc.mm, sc.cache, bi)
-		if err != nil {
-			if sc.quarantine && isCorrupt(err) {
-				quarantineBlock(sc.seg.path, bi, err)
-				sc.acc.quarantined++
-				sc.span.AnnotateInt("quarantined_block", int64(bi))
-				sc.bi++
-				continue
-			}
-			sc.ok = false
-			return fmt.Errorf("segment %s: %w", sc.seg.path, err)
-		}
-		sc.bi++
-		sc.recs = cb.appendMatching(sc.q, &sc.bs.sel, sc.recs[:0])
-		sc.ri = 0
-		sc.acc.noteBlock(sc.seg, bi, hit, sc.cache != nil, len(sc.recs))
-	}
-}
-
-func (sc *segStream) key() (int64, uint64) { return sc.cur.Time.UnixNano(), sc.order }
-
-func (sc *segStream) drain() scanDelta {
-	d := sc.acc
-	sc.acc = scanDelta{}
-	return d
-}
-
-func (sc *segStream) close() {
-	sc.span.Finish()
-	sc.span = nil
-	if sc.bs != nil {
-		putBlockScanner(sc.bs)
-		sc.bs = nil
-	}
-	sc.mm.release()
-	sc.mm = nil
-	if sc.f != nil {
-		sc.f.Close()
-		sc.f = nil
-	}
 }
 
 // memStream iterates the memtable snapshot.

@@ -221,16 +221,11 @@ func TestBlockCacheEviction(t *testing.T) {
 	if bc.UsedBytes > bc.BudgetBytes {
 		t.Fatalf("cache over budget: used %d > budget %d", bc.UsedBytes, bc.BudgetBytes)
 	}
-	s.cache.mu.Lock()
 	var sum int64
-	for _, el := range s.cache.entries {
-		sum += el.Value.(*cacheEntry).cb.bytes
+	s.cache.Range(func(_ blockKey, cost int64) { sum += cost })
+	if used := s.cache.Stats().Bytes; sum != used {
+		t.Fatalf("cache accounting drift: entries sum %d, used %d", sum, used)
 	}
-	if sum != s.cache.used {
-		s.cache.mu.Unlock()
-		t.Fatalf("cache accounting drift: entries sum %d, used %d", sum, s.cache.used)
-	}
-	s.cache.mu.Unlock()
 }
 
 // TestBlockCacheOversizedBlockNotCached: a single block bigger than the whole
@@ -281,22 +276,17 @@ func TestCompactionDropsCacheEntries(t *testing.T) {
 		t.Fatal("compaction did not advance the generation")
 	}
 
-	s.cache.mu.Lock()
-	for key := range s.cache.entries {
-		s.mu.Lock()
-		live := false
-		for _, g := range s.segs {
-			if g.fp == key.seg {
-				live = true
-			}
-		}
-		s.mu.Unlock()
-		if !live {
-			s.cache.mu.Unlock()
-			t.Fatalf("cache entry %v belongs to a retired segment", key)
-		}
+	s.mu.Lock()
+	live := make(map[uint64]bool, len(s.segs))
+	for _, g := range s.segs {
+		live[g.fp] = true
 	}
-	s.cache.mu.Unlock()
+	s.mu.Unlock()
+	s.cache.Range(func(key blockKey, _ int64) {
+		if !live[key.seg] {
+			t.Errorf("cache entry %v belongs to a retired segment", key)
+		}
+	})
 
 	got, _ := queryAll(t, s, Query{})
 	assertSameRecords(t, got, recs)

@@ -1,10 +1,7 @@
 package store
 
 import (
-	"container/heap"
-	"context"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,40 +11,42 @@ import (
 	"instability/internal/obs"
 )
 
-// Parallel query execution. QueryParallel produces the exact record sequence
-// of Query — same candidate blocks, same per-segment block order, same heap
-// merge keys — but fans block decompression across a bounded worker pool.
-// The consumer (Reader.Next) stays single-threaded; only the expensive part
-// of a scan, ReadAt + inflate + record decode, runs concurrently.
+// The scan engine. Every segment scan — a serial query, a parallel query, a
+// compaction merge — is a segmentStream: it walks the candidate blocks of one
+// segment in block order, fetching each in columnar form (through the shared
+// block cache when the store has one), filtering it column-wise, and
+// materializing only the surviving rows. The merge heap in Reader.Next —
+// queries and compaction merges alike — interleaves streams by (timestamp,
+// segment seq).
 //
-// Ordering is preserved by construction rather than by re-sorting: each
-// parSegStream submits its candidate blocks to the pool in block order and
-// keeps a FIFO of single-slot result channels, so blocks are consumed in the
-// order they were submitted no matter which worker finishes first. The merge
-// heap then interleaves streams by (timestamp, segment seq) exactly as the
-// serial path does.
+// How the fetches run is the only thing that varies. With one worker, or a
+// query that selects a single block, a stream fetches inline on the consumer
+// goroutine, one block at a time, into one reused record buffer — no
+// goroutine, no pool. Otherwise the reader starts a bounded scanPool and each
+// stream keeps scanLookahead blocks in flight on it, so ReadAt + inflate +
+// decode overlap the merge. Ordering is preserved by construction rather than
+// by re-sorting: a stream submits its blocks in block order and keeps a FIFO
+// of single-slot result channels, so blocks are consumed in submission order
+// no matter which worker finishes first. Either way the record sequence and
+// the ScanStats accounting are identical.
 
-// scanLookahead is how many blocks a stream keeps in flight beyond the one
-// being consumed. Two is enough to hide decompression latency behind the
+// scanLookahead is how many blocks a pooled stream keeps in flight beyond the
+// one being consumed. Two is enough to hide decompression latency behind the
 // merge without holding many decoded blocks in memory per stream.
 const scanLookahead = 2
 
+// blockTask is one block a pooled stream submitted. Workers read only the
+// stream's fields fixed at open (seg, f, mm, q, cache); close clears them
+// only after receiving every submitted block's result.
 type blockTask struct {
-	seg *segment
-	f   io.ReaderAt
-	// mm is the mapping reference the submitting stream holds; the stream
-	// outlives every task it submitted (close drains them), so a worker
-	// never touches mapped pages after their release. Workers must use this,
-	// never seg.mm — the latter is store-lock state compaction mutates.
-	mm    *segMap
-	q     *Query
-	cache *blockCache
-	bi    int
-	out   chan<- blockResult // cap 1: workers never block on delivery
+	sc  *segmentStream
+	bi  int
+	out chan<- blockResult // cap 1: workers never block on delivery
 }
 
 type blockResult struct {
-	recs []collector.Record // pooled buffer; nil-length results still own it
+	bi   int                // block index
+	recs []collector.Record // pooled buffer when from a worker; nil-length results still own it
 	hit  bool               // block came from the shared cache
 	err  error
 }
@@ -75,7 +74,7 @@ func putRecBuf(b []collector.Record) {
 }
 
 // scanPool is a fixed set of decompression workers shared by all streams of
-// one parallel reader. Each worker owns a blockReader for its lifetime, so
+// one parallel reader. Each worker owns a blockScanner for its lifetime, so
 // buffer reuse needs no per-block pool traffic.
 type scanPool struct {
 	tasks chan blockTask
@@ -91,193 +90,121 @@ func newScanPool(workers, queue int) *scanPool {
 			bs := getBlockScanner()
 			defer putBlockScanner(bs)
 			for t := range p.tasks {
-				cb, hit, err := bs.fetch(t.seg, t.f, t.mm, t.cache, t.bi)
+				sc := t.sc
+				cb, hit, err := bs.fetch(sc.seg, sc.f, sc.mm, sc.cache, t.bi)
 				if err != nil {
-					t.out <- blockResult{err: err}
+					t.out <- blockResult{bi: t.bi, err: err}
 					continue
 				}
 				// The pooled buffer is taken only on success and travels with
 				// the result; the consumer (or the stream's close) returns it.
-				buf := getRecBuf()
-				recs := cb.appendMatching(t.q, &bs.sel, buf[:0])
-				t.out <- blockResult{recs: recs, hit: hit}
+				t.out <- blockResult{bi: t.bi, recs: cb.appendMatching(sc.q, &bs.sel, getRecBuf()[:0]), hit: hit}
 			}
 		}()
 	}
 	return p
 }
 
-func (p *scanPool) submit(t blockTask) { p.tasks <- t }
-
-// shutdown stops accepting tasks and waits for the workers to exit. Queued
-// tasks are still executed; their results land in buffered channels whose
-// streams drain them at close. A task whose file was already closed fails
-// with os.ErrClosed, which the draining stream discards — ReadAt on a closed
-// file is defined behavior, not a race.
+// shutdown stops accepting tasks and waits for the workers to exit. Every
+// stream has drained its results by then: streams close before the pool.
 func (p *scanPool) shutdown() {
 	close(p.tasks)
 	p.wg.Wait()
 }
 
-// QueryParallel is Query with the segment scan fanned across workers. The
-// result order and ScanStats accounting are identical to Query; workers <= 1
-// (or a scan with at most one candidate block) falls back to the serial
-// reader. The returned Reader must be Closed to release the worker pool.
-//
-// Failure behavior matches Query: corrupt blocks are quarantined (skipped
-// and counted), I/O errors surface as a sticky partial-scan error from Next,
-// and an error during setup closes every segment file already opened and
-// drains every in-flight worker before returning.
-func (s *Store) QueryParallel(q Query, workers int) (*Reader, error) {
-	return s.QueryParallelCtx(context.Background(), q, workers)
-}
+// segmentStream iterates the candidate blocks of one segment. All methods run
+// on the merge consumer goroutine; with a pool, only the workers touch the
+// segment file.
+type segmentStream struct {
+	seg   *segment
+	f     faults.File
+	mm    *segMap     // acquired mapping reference, nil on the ReadAt path
+	q     *Query      // predicates the columnar kernels filter by
+	cache *blockCache // shared block cache, nil when disabled or compacting
+	// quarantine skips corrupt blocks instead of failing the scan. Queries
+	// set it; compaction merges leave it off, because silently dropping a
+	// block while rewriting segments would turn detectable damage into
+	// permanent record loss.
+	quarantine bool
 
-// QueryParallelCtx is QueryParallel carrying a request context; see QueryCtx
-// for the tracing contract.
-func (s *Store) QueryParallelCtx(ctx context.Context, q Query, workers int) (*Reader, error) {
-	if workers <= 1 {
-		return s.QueryCtx(ctx, q)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	obsQueries.Inc()
-	obsParallelScans.Inc()
-	_, span := obs.StartChild(ctx, "store_scan")
-	r := &Reader{q: q, gen: s.Generation(), workers: workers, span: span}
-	r.stats.SegmentsTotal = len(s.segs)
-	for _, g := range s.segs {
-		r.stats.BlocksTotal += len(g.index.blocks)
-	}
+	pool    *scanPool     // nil: fetch inline
+	bs      *blockScanner // inline fetch scratch, nil with a pool
+	blocks  []int
+	next    int                // next index into blocks to fetch or submit
+	pending []chan blockResult // FIFO of in-flight block results (pooled)
+	recs    []collector.Record
+	pooled  bool // recs came from recBufPool and must go back
+	ri      int
+	cur     collector.Record
+	ok      bool
+	order   uint64
 
-	type candidate struct {
-		seg    *segment
-		blocks []int
-	}
-	var cands []candidate
-	totalBlocks := 0
-	for _, g := range s.segs {
-		blocks, scan := g.candidateBlocks(q)
-		if !scan {
-			continue
-		}
-		r.stats.SegmentsScanned++
-		if len(blocks) == 0 {
-			continue
-		}
-		r.stats.BlocksSelected += len(blocks)
-		cands = append(cands, candidate{seg: g, blocks: blocks})
-		totalBlocks += len(blocks)
-	}
-
-	if totalBlocks > 1 {
-		if workers > totalBlocks {
-			workers = totalBlocks
-		}
-		r.workers = workers
-		obsScanWorkers.SetInt(int64(workers))
-		r.pool = newScanPool(workers, 2*workers)
-		for _, c := range cands {
-			f, err := s.fs.Open(c.seg.path)
-			if err != nil {
-				// r.Close drains the streams (and their in-flight blocks)
-				// already set up, then shuts the pool down.
-				r.err = err
-				r.Close()
-				return nil, err
-			}
-			c.seg.mm.acquire()
-			sc := &parSegStream{seg: c.seg, f: f, mm: c.seg.mm, q: &r.q, cache: s.cache,
-				pool: r.pool, blocks: c.blocks, order: c.seg.seq,
-				span: segmentSpan(span, c.seg, len(c.blocks))}
-			sc.fill()
-			if err := sc.advance(); err != nil {
-				r.retire(sc)
-				r.err = err
-				r.Close()
-				return nil, err
-			}
-			if sc.ok {
-				r.streams = append(r.streams, sc)
-			} else {
-				r.retire(sc)
-			}
-		}
-	} else {
-		// One block total: the pool would only add handoff overhead.
-		for _, c := range cands {
-			f, err := s.fs.Open(c.seg.path)
-			if err != nil {
-				r.err = err
-				r.Close()
-				return nil, err
-			}
-			c.seg.mm.acquire()
-			sc := &segStream{seg: c.seg, f: f, mm: c.seg.mm, q: &r.q, cache: s.cache,
-				bs: getBlockScanner(), blocks: c.blocks, order: c.seg.seq, quarantine: true,
-				span: segmentSpan(span, c.seg, len(c.blocks))}
-			if err := sc.advance(); err != nil {
-				r.retire(sc)
-				r.err = err
-				r.Close()
-				return nil, err
-			}
-			if sc.ok {
-				r.streams = append(r.streams, sc)
-			} else {
-				r.retire(sc)
-			}
-		}
-	}
-
-	if mem := s.memSnapshotLocked(q, &r.stats); len(mem) > 0 {
-		ms := &memStream{recs: mem, order: ^uint64(0)}
-		ms.advance()
-		r.streams = append(r.streams, ms)
-	}
-	heap.Init(&r.streams)
-	return r, nil
-}
-
-// parSegStream iterates the candidate blocks of one segment, with the block
-// decompression delegated to the reader's scanPool. All methods run on the
-// merge consumer goroutine; only the pool workers touch the segment file.
-type parSegStream struct {
-	seg       *segment
-	f         faults.File
-	mm        *segMap     // acquired mapping reference, handed to every task
-	q         *Query
-	cache     *blockCache // nil when the store runs cache-off
-	pool      *scanPool
-	blocks    []int
-	nextSub   int                // next index into blocks to submit
-	pending   []chan blockResult // FIFO of in-flight block results
-	pendingBi []int              // block index of each pending result
-	recs      []collector.Record
-	pooled    bool // recs came from recBufPool and must go back
-	ri        int
-	cur       collector.Record
-	ok        bool
-	order     uint64
-
-	acc  scanDelta
+	acc  scanDelta      // accounting since last drain into Reader.stats
 	span *obs.TraceSpan // per-segment trace span; nil when untraced
 }
 
-// fill tops the in-flight window up to scanLookahead+1 submitted blocks.
-func (sc *parSegStream) fill() {
-	for len(sc.pending) <= scanLookahead && sc.nextSub < len(sc.blocks) {
+// openSegmentStream opens a stream over blocks of g: the segment file is
+// opened, a reference on its mapping taken, and — with a pool — the first
+// blocks submitted. The caller primes the stream with advance and must close
+// it.
+func (s *Store) openSegmentStream(g *segment, blocks []int, q *Query, cache *blockCache, pool *scanPool, quarantine bool) (*segmentStream, error) {
+	f, err := s.fs.Open(g.path)
+	if err != nil {
+		return nil, err
+	}
+	g.mm.acquire()
+	sc := &segmentStream{seg: g, f: f, mm: g.mm, q: q, cache: cache, quarantine: quarantine,
+		pool: pool, blocks: blocks, order: g.seq}
+	if pool == nil {
+		sc.bs = getBlockScanner()
+	}
+	sc.fill()
+	return sc, nil
+}
+
+// fill tops a pooled stream's in-flight window up to scanLookahead+1
+// submitted blocks.
+func (sc *segmentStream) fill() {
+	if sc.pool == nil {
+		return
+	}
+	for len(sc.pending) <= scanLookahead && sc.next < len(sc.blocks) {
 		out := make(chan blockResult, 1)
-		sc.pool.submit(blockTask{seg: sc.seg, f: sc.f, mm: sc.mm, q: sc.q, cache: sc.cache,
-			bi: sc.blocks[sc.nextSub], out: out})
+		sc.pool.tasks <- blockTask{sc: sc, bi: sc.blocks[sc.next], out: out}
 		sc.pending = append(sc.pending, out)
-		sc.pendingBi = append(sc.pendingBi, sc.blocks[sc.nextSub])
-		sc.nextSub++
+		sc.next++
 	}
 }
 
-func (sc *parSegStream) head() (collector.Record, bool) { return sc.cur, sc.ok }
+// nextBlock returns the next candidate block's result, false when the stream
+// has none left. Inline, the block is fetched here, its rows materialized
+// into the stream's own (fully consumed) record buffer.
+func (sc *segmentStream) nextBlock() (blockResult, bool) {
+	if sc.pool == nil {
+		if sc.next == len(sc.blocks) {
+			return blockResult{}, false
+		}
+		bi := sc.blocks[sc.next]
+		sc.next++
+		cb, hit, err := sc.bs.fetch(sc.seg, sc.f, sc.mm, sc.cache, bi)
+		if err != nil {
+			return blockResult{bi: bi, err: err}, true
+		}
+		return blockResult{bi: bi, recs: cb.appendMatching(sc.q, &sc.bs.sel, sc.recs[:0]), hit: hit}, true
+	}
+	if len(sc.pending) == 0 {
+		return blockResult{}, false
+	}
+	t0 := time.Now()
+	res := <-sc.pending[0]
+	obsScanMergeWait.ObserveSince(t0)
+	sc.pending = sc.pending[1:]
+	return res, true
+}
 
-func (sc *parSegStream) advance() error {
+func (sc *segmentStream) head() (collector.Record, bool) { return sc.cur, sc.ok }
+
+func (sc *segmentStream) advance() error {
 	for {
 		if sc.ri < len(sc.recs) {
 			sc.cur = sc.recs[sc.ri]
@@ -285,67 +212,65 @@ func (sc *parSegStream) advance() error {
 			sc.ok = true
 			return nil
 		}
-		if len(sc.pending) == 0 {
+		res, ok := sc.nextBlock()
+		if !ok {
 			sc.ok = false
 			return nil
 		}
-		t0 := time.Now()
-		res := <-sc.pending[0]
-		obsScanMergeWait.ObserveSince(t0)
-		bi := sc.pendingBi[0]
-		sc.pending = sc.pending[1:]
-		sc.pendingBi = sc.pendingBi[1:]
 		if res.err != nil {
-			if isCorrupt(res.err) {
-				quarantineBlock(sc.seg.path, bi, res.err)
+			if sc.quarantine && isCorrupt(res.err) {
+				quarantineBlock(sc.seg.path, res.bi, res.err)
 				sc.acc.quarantined++
-				sc.span.AnnotateInt("quarantined_block", int64(bi))
+				sc.span.AnnotateInt("quarantined_block", int64(res.bi))
 				sc.fill()
 				continue
 			}
 			sc.ok = false
 			return fmt.Errorf("segment %s: %w", sc.seg.path, res.err)
 		}
-		sc.acc.noteBlock(sc.seg, bi, res.hit, sc.cache != nil, len(res.recs))
+		sc.acc.noteBlock(sc.seg, res.bi, res.hit, sc.cache != nil, len(res.recs))
 		// The previous block's records are all consumed (copied out by
-		// value), so its buffer goes back to the workers.
+		// value), so a pooled buffer goes back to the workers.
 		if sc.pooled {
 			putRecBuf(sc.recs)
 		}
-		sc.recs, sc.ri, sc.pooled = res.recs, 0, true
+		sc.recs, sc.ri, sc.pooled = res.recs, 0, sc.pool != nil
 		sc.fill()
 	}
 }
 
-func (sc *parSegStream) key() (int64, uint64) { return sc.cur.Time.UnixNano(), sc.order }
+func (sc *segmentStream) key() (int64, uint64) { return sc.cur.Time.UnixNano(), sc.order }
 
-func (sc *parSegStream) drain() scanDelta {
+func (sc *segmentStream) drain() scanDelta {
 	d := sc.acc
 	sc.acc = scanDelta{}
 	return d
 }
 
-// close releases the stream's file and reclaims every pooled buffer it still
-// owns. In-flight results are received, not abandoned: the workers are alive
-// until the reader shuts the pool down (which happens only after all streams
-// close), and every submitted task delivers exactly one result into its
-// single-slot channel, so this drain never blocks indefinitely and no buffer
-// is stranded in an unread channel.
-func (sc *parSegStream) close() {
+// close releases the stream's file and scratch and reclaims every pooled
+// buffer it still owns. In-flight results are received, not abandoned: the
+// workers are alive until the reader shuts the pool down (which happens only
+// after all streams close), and every submitted task delivers exactly one
+// result into its single-slot channel, so this drain never blocks
+// indefinitely and no buffer is stranded in an unread channel.
+func (sc *segmentStream) close() {
 	sc.span.Finish()
 	sc.span = nil
 	for _, ch := range sc.pending {
-		res := <-ch
 		// Successful results own a pooled buffer even when zero rows matched
 		// the columnar filter; only error results travel bufferless.
-		if res.err == nil {
+		if res := <-ch; res.err == nil {
 			putRecBuf(res.recs)
 		}
 	}
-	sc.pending, sc.pendingBi = nil, nil
+	sc.pending = nil
 	if sc.pooled {
 		putRecBuf(sc.recs)
 		sc.recs, sc.pooled = nil, false
+	}
+	if sc.bs != nil {
+		putBlockScanner(sc.bs)
+		sc.bs = nil
 	}
 	sc.mm.release()
 	sc.mm = nil

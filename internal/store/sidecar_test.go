@@ -2,9 +2,12 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"instability/internal/faults"
 )
 
 type sideEntry struct {
@@ -141,5 +144,37 @@ func TestSidecarLogMissingFile(t *testing.T) {
 	n, err := ReadSidecarLog(filepath.Join(t.TempDir(), "nope.log"), func([]byte) error { return nil })
 	if err != nil || n != 0 {
 		t.Fatalf("missing file: n=%d err=%v, want 0,nil", n, err)
+	}
+}
+
+// TestSidecarRetryAfterTornWrite is the sidecar twin of
+// TestWALRetryAfterTornWrite: appends acknowledged after a torn append must
+// survive, which they cannot if they land behind the partial frame.
+func TestSidecarRetryAfterTornWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "alerts.log")
+	inj := faults.NewInjector(faults.Disk{}, faults.Plan{Seed: 3, TornWriteN: 1})
+	l, err := OpenSidecarLogFS(inj, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(sideEntry{N: -1, S: "torn"}); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("torn append error = %v, want injected", err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := l.Append(sideEntry{N: i, S: "entry"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := readSideEntries(t, path)
+	if len(got) != 5 {
+		t.Fatalf("read back %d entries, want the 5 acknowledged", len(got))
+	}
+	for i, e := range got {
+		if e.N != i {
+			t.Fatalf("entry %d = %+v", i, e)
+		}
 	}
 }

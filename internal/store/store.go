@@ -110,10 +110,6 @@ type Options struct {
 	// version; tests set it to segVersionV1 to produce compatibility
 	// fixtures. Defaults to segVersionV2.
 	formatVersion byte
-	// syncSeal forces seals to run inline under the store lock, the
-	// pre-pipeline behavior. Unexported: only benchmarks and tests use it,
-	// to measure what background sealing buys.
-	syncSeal bool
 }
 
 func (o Options) withDefaults() Options {
@@ -151,7 +147,7 @@ type Store struct {
 	mu      sync.Mutex
 	segs    []*segment // sorted by (windowStart, seq)
 	nextSeg uint64     // next segment file number
-	wal     *wal
+	wal     *frameLog
 	mem     map[int64]*memWindow // windowStart (unixnano) -> unsealed records
 	memN    int
 	closed  bool
@@ -410,12 +406,13 @@ func (s *Store) unmapSegmentLocked(g *segment) {
 }
 
 // dropSegmentLocked retires one replaced segment from the read path: its
-// mapping reference is released and its cached blocks are dropped, so the
-// cache budget is never spent on blocks no query can reach again.
+// mapping reference is released and its cached blocks — loads still in
+// flight included — are dropped, so the cache budget is never spent on
+// blocks no query can reach again.
 func (s *Store) dropSegmentLocked(g *segment) {
 	s.unmapSegmentLocked(g)
 	if s.cache != nil {
-		s.cache.dropSegment(g.fp)
+		s.cache.DropIf(func(k blockKey) bool { return k.seg == g.fp })
 	}
 }
 
@@ -501,7 +498,15 @@ func (s *Store) Stats() Stats {
 	st.Generation = s.gen.Load()
 	st.Fingerprint = s.fingerprintLocked()
 	st.MmapSegments = s.mapped
-	st.BlockCache = s.cache.stats()
+	if s.cache != nil {
+		// A lookup served by another reader's in-flight load counts as a
+		// hit (this reader did no disk read or inflate); a segment retired
+		// by compaction is not an eviction.
+		cs := s.cache.Stats()
+		st.BlockCache = BlockCacheStats{Enabled: true, BudgetBytes: s.opts.BlockCacheBytes,
+			UsedBytes: cs.Bytes, Entries: cs.Entries, Hits: cs.Hits + cs.Coalesced,
+			Misses: cs.Loads, Evictions: cs.Evictions}
+	}
 	return st
 }
 
